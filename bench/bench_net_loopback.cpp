@@ -1,15 +1,16 @@
 // Loopback throughput/latency for the real TCP transport.
 //
-// Runs the full Amnesia stack — simulation-hosted servers behind
-// server::NetGateway, wire-backed client::Browser over net::TcpTransport —
-// on 127.0.0.1 and drives a closed loop at several concurrency levels.
+// Runs the full Amnesia stack — simulation-hosted servers kept in real
+// time by their reactors (eval::ShardedTcpTestbed), wire-backed
+// client::Browser over net::TcpTransport — on 127.0.0.1 and drives a
+// closed loop at several concurrency levels.
 // Two phases:
 //
 //   login     secure-channel establishment + PBKDF2 verify, no phone; the
 //             pure transport + crypto round trip.
 //   password  the six-step bilateral generation including the simulated
-//             phone confirmation (bridged virtual time), i.e. the
-//             end-to-end hot path of the paper.
+//             phone confirmation (virtual time pinned to real time), i.e.
+//             the end-to-end hot path of the paper.
 //
 // Each phase runs once per *resumption mode* (argv[3], comma-separated;
 // default "cold,resumed,pooled") — the channel-amortization axis:
@@ -61,7 +62,6 @@
 #include "net/event_loop.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "server/gateway.h"
 #include "websvc/client.h"
 #include "websvc/http.h"
 #include "websvc/pool.h"

@@ -1,8 +1,9 @@
 // serve: the Amnesia server on a real TCP socket.
 //
 // The full server stack (routes, worker pool, secure channel, rendezvous,
-// phone) runs inside the simulation; server::NetGateway bridges it onto
-// net::TcpTransport so real clients reach it over loopback or the LAN.
+// phone) runs inside the simulation. Attached to the event loop, the
+// simulation keeps real time; a net::RpcListener serves the secure channel
+// on net::TcpTransport so real clients reach it over loopback or the LAN.
 // Three modes:
 //
 //   ./serve
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -35,8 +37,8 @@
 #include "net/event_loop.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "server/gateway.h"
 #include "websvc/http.h"
+#include "websvc/stream.h"
 
 using namespace amnesia;
 
@@ -56,7 +58,7 @@ void check(const Status& s, const char* what) {
 }
 
 /// Polls the loop until the captured callback fires (all protocol work —
-/// client, gateway, and simulation — happens inside poll()).
+/// client, server, and simulation — happens inside poll()).
 template <typename T>
 class Waiter {
  public:
@@ -99,6 +101,22 @@ std::unique_ptr<eval::Testbed> make_provisioned_testbed() {
   return bed;
 }
 
+/// Secure-channel RPC: every framed request is a wire envelope for the
+/// server's channel terminator.
+net::RpcPeer::Handler secure_handler(server::AmnesiaServer& server) {
+  return std::bind_front(&securechan::SecureServer::handle_wire,
+                         &server.secure());
+}
+
+/// Plain HTTP (no channel) straight into the server's routes — the
+/// /metrics scrape port.
+void serve_plain_http(net::Transport& transport,
+                      server::AmnesiaServer& server) {
+  transport.listen([&server](net::StreamPtr stream) {
+    websvc::HttpStreamSession::attach(std::move(stream), server.http());
+  });
+}
+
 /// True once `wire` holds a complete HTTP response (head + full body).
 bool response_complete(const std::string& wire) {
   const std::size_t head_end = wire.find("\r\n\r\n");
@@ -111,7 +129,7 @@ bool response_complete(const std::string& wire) {
   return wire.size() >= head_end + 4 + len;
 }
 
-/// Raw-socket GET against the gateway's plain-HTTP port (exactly what a
+/// Raw-socket GET against the server's plain-HTTP port (exactly what a
 /// metrics scraper would do).
 std::string scrape_metrics(net::EventLoop& loop, std::uint16_t http_port) {
   net::TcpTransport dial(loop, "127.0.0.1", http_port);
@@ -163,7 +181,9 @@ int run_demo() {
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
   net::TcpTransport http_tr(loop, "127.0.0.1", 0);
   secure_tr.set_metrics(&bed->server().metrics());
-  server::NetGateway gateway(secure_tr, &http_tr, bed->server());
+  net::RpcListener listener(secure_tr, secure_handler(bed->server()));
+  serve_plain_http(http_tr, bed->server());
+  const auto attachment = bed->sim().attach(loop);
   std::printf("  secure-channel RPC on 127.0.0.1:%u, /metrics on "
               "127.0.0.1:%u\n",
               secure_tr.local_port(), http_tr.local_port());
@@ -228,8 +248,10 @@ int run_listen(std::uint16_t port, std::uint16_t http_port) {
   std::unique_ptr<net::TcpTransport> http_tr;
   if (http_port != 0) {
     http_tr = std::make_unique<net::TcpTransport>(loop, "0.0.0.0", http_port);
+    serve_plain_http(*http_tr, bed->server());
   }
-  server::NetGateway gateway(secure_tr, http_tr.get(), bed->server());
+  net::RpcListener listener(secure_tr, secure_handler(bed->server()));
+  const auto attachment = bed->sim().attach(loop);
 
   std::printf("amnesia-server listening\n");
   std::printf("  secure-channel RPC : 0.0.0.0:%u\n", secure_tr.local_port());

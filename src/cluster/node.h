@@ -24,9 +24,9 @@
 // Transport-agnostic: followers expose handle_repl(body, respond) and the
 // primary reaches each follower through a PeerWire function. sim_wire()
 // adapts the node's own "<id>.repl" simnet node; the TCP testbed plugs
-// net::RpcClient wires in instead (cluster/repl_listener.h accepts them).
-// Everything runs on the simulation thread (the TCP variant drives all
-// replicas from one event loop, like server::NetGateway).
+// net::RpcClient wires in instead and serves handle_repl behind a
+// net::RpcListener. Everything runs on the simulation thread (the TCP
+// variant attaches the one shared simulation to one event loop).
 #pragma once
 
 #include <cstdint>

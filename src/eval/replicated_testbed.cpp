@@ -1,11 +1,23 @@
 #include "eval/replicated_testbed.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.h"
 #include "obs/profiler.h"
 
 namespace amnesia::eval {
+namespace {
+
+/// A ClusterNode::PeerWire over an established RpcClient. The client must
+/// outlive the returned wire (the testbed keeps it next to the node).
+cluster::ClusterNode::PeerWire tcp_wire(net::RpcClient& client) {
+  return [&client](Bytes body, std::function<void(Result<Bytes>)> cb) {
+    client.request(std::move(body), std::move(cb));
+  };
+}
+
+}  // namespace
 
 ReplicatedSimTestbed::ReplicatedSimTestbed(ReplicatedSimConfig config)
     : config_(std::move(config)) {
@@ -167,15 +179,16 @@ void ReplicatedTcpTestbed::start() {
   for (std::size_t k = 0; k < n; ++k) {
     auto ht = std::make_unique<net::TcpTransport>(loop0, "127.0.0.1", 0);
     ht->set_metrics(&world_->replica(k).metrics());
-    gateways_.push_back(
-        std::make_unique<server::NetGateway>(*ht, nullptr,
-                                             world_->replica(k)));
+    listeners_.push_back(std::make_unique<net::RpcListener>(
+        *ht, std::bind_front(&securechan::SecureServer::handle_wire,
+                             &world_->replica(k).secure())));
     http_ports_.push_back(ht->local_port());
     http_transports_.push_back(std::move(ht));
 
     auto rt = std::make_unique<net::TcpTransport>(loop0, "127.0.0.1", 0);
-    repl_listeners_.push_back(
-        std::make_unique<cluster::ReplListener>(*rt, world_->node(k)));
+    listeners_.push_back(std::make_unique<net::RpcListener>(
+        *rt, std::bind_front(&cluster::ClusterNode::handle_repl,
+                             &world_->node(k))));
     repl_ports.push_back(rt->local_port());
     repl_transports_.push_back(std::move(rt));
   }
@@ -190,7 +203,7 @@ void ReplicatedTcpTestbed::start() {
       auto client = std::make_unique<net::RpcClient>(
           *dial, config_.sim.cluster.rpc_timeout_us);
       world_->node(i).add_follower(world_->replica(j).node_id(),
-                                   cluster::tcp_wire(*client));
+                                   tcp_wire(*client));
       peer_dials_.push_back(std::move(dial));
       peer_clients_.push_back(std::move(client));
     }
@@ -198,6 +211,7 @@ void ReplicatedTcpTestbed::start() {
   // Only now do the failover detectors make sense: heartbeats can reach
   // the followers the moment the reactor starts.
   for (std::size_t k = 1; k < n; ++k) world_->node(k).start_as_follower();
+  attachment_ = world_->bed().sim().attach(loop0);
   // Always-on sampling: every replica's GET /profile serves from the one
   // reactor thread this testbed runs on (replicas do not merge each
   // other's profiles — each serves its own, like /metrics).
@@ -214,11 +228,11 @@ void ReplicatedTcpTestbed::stop() {
   // RpcClients destroyed here.
   pool_->stop_join();
   obs::Profiler::instance().stop();
+  attachment_.reset();
   peer_clients_.clear();
   peer_dials_.clear();
-  repl_listeners_.clear();
+  listeners_.clear();
   repl_transports_.clear();
-  gateways_.clear();
   http_transports_.clear();
   started_ = false;
 }

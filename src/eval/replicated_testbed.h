@@ -15,12 +15,13 @@
 //
 // ReplicatedTcpTestbed — the same world, but the replication stream and
 // the client-facing HTTP legs run over real TCP. All replicas share one
-// reactor thread (their gateways pump the one shared simulation, exactly
-// like server::NetGateway's bridged mode), each listens on its own
-// ephemeral port, and the primary ships to followers through
-// net::RpcClient connections into cluster::ReplListener acceptors. Use
-// in phases like ShardedTcpTestbed: provision single-threaded, start(),
-// then drive real TCP clients from your own EventLoop.
+// reactor thread, to which start() attaches the one shared simulation
+// (pinning its virtual clock to real time). Each replica listens on its
+// own ephemeral ports, and the primary ships to followers through
+// net::RpcClient connections into net::RpcListener acceptors that serve
+// ClusterNode::handle_repl. Use in phases like ShardedTcpTestbed:
+// provision single-threaded, start(), then drive real TCP clients from
+// your own EventLoop.
 //
 // Client failover: the testbed installs ClusterNode::set_on_promote so a
 // promotion retargets the simulated browser and phone at the survivor
@@ -35,12 +36,11 @@
 #include <vector>
 
 #include "cluster/node.h"
-#include "cluster/repl_listener.h"
 #include "crypto/x25519.h"
 #include "eval/testbed.h"
 #include "net/reactor_pool.h"
+#include "net/rpc.h"
 #include "net/tcp.h"
-#include "server/gateway.h"
 
 namespace amnesia::eval {
 
@@ -129,12 +129,12 @@ class ReplicatedTcpTestbed {
   std::unique_ptr<ReplicatedSimTestbed> world_;
   std::unique_ptr<net::ReactorPool> pool_;
   std::vector<std::unique_ptr<net::TcpTransport>> http_transports_;
-  std::vector<std::unique_ptr<server::NetGateway>> gateways_;
   std::vector<std::unique_ptr<net::TcpTransport>> repl_transports_;
-  std::vector<std::unique_ptr<cluster::ReplListener>> repl_listeners_;
+  std::vector<std::unique_ptr<net::RpcListener>> listeners_;
   std::vector<std::unique_ptr<net::TcpTransport>> peer_dials_;
   std::vector<std::unique_ptr<net::RpcClient>> peer_clients_;
   std::vector<std::uint16_t> http_ports_;
+  simnet::Simulation::Attachment attachment_;
   bool started_ = false;
 };
 

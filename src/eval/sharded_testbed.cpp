@@ -1,6 +1,7 @@
 #include "eval/sharded_testbed.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.h"
 #include "obs/profiler.h"
@@ -27,7 +28,7 @@ ShardedSimTestbed::ShardedSimTestbed(ShardedSimConfig config)
   }
   bed_ = std::make_unique<Testbed>(base);
   refs_.push_back(
-      server::ShardRef{&bed_->server(), &bed_->sim(), nullptr});
+      server::ShardRef{&bed_->server(), &bed_->sim()});
 
   for (std::size_t k = 1; k < n; ++k) {
     // Each shard draws from its own deterministic stream, offset well
@@ -49,7 +50,7 @@ ShardedSimTestbed::ShardedSimTestbed(ShardedSimConfig config)
     bed_->net().set_duplex_link(sc.node_id, "gcm", simnet::profiles().dc_lan,
                                 simnet::profiles().dc_lan);
     refs_.push_back(
-        server::ShardRef{extras_.back().get(), &bed_->sim(), nullptr});
+        server::ShardRef{extras_.back().get(), &bed_->sim()});
   }
   router_ = std::make_unique<server::ShardRouter>(refs_);
 }
@@ -116,15 +117,17 @@ void ShardedTcpTestbed::start() {
     // views go through the router's merged GET /metrics.
     transport->set_metrics(&beds_[k]->server().metrics());
     transports_.push_back(std::move(transport));
-    gateways_.push_back(std::make_unique<server::NetGateway>(
-        *transports_.back(), nullptr, beds_[k]->server()));
+    listeners_.push_back(std::make_unique<net::RpcListener>(
+        *transports_.back(),
+        std::bind_front(&securechan::SecureServer::handle_wire,
+                        &beds_[k]->server().secure())));
     if (k == 0) port_ = transports_[0]->local_port();
+    attachments_.push_back(beds_[k]->sim().attach(pool_->loop(k)));
   }
   std::vector<server::ShardRef> refs;
   refs.reserve(beds_.size());
   for (std::size_t k = 0; k < beds_.size(); ++k) {
-    refs.push_back(server::ShardRef{&beds_[k]->server(), &pool_->loop(k),
-                                    gateways_[k].get()});
+    refs.push_back(server::ShardRef{&beds_[k]->server(), &pool_->loop(k)});
   }
   router_ = std::make_unique<server::ShardRouter>(std::move(refs));
   // Arm the always-on sampling profiler before the reactors spin up so
@@ -138,12 +141,13 @@ void ShardedTcpTestbed::start() {
 void ShardedTcpTestbed::stop() {
   if (!started_) return;
   // Join the reactor threads first; with the loops quiescent the
-  // gateways, acceptors, and surviving connections can be torn down from
+  // listeners, acceptors, and surviving connections can be torn down from
   // this thread without racing anything.
   pool_->stop_join();
   obs::Profiler::instance().stop();
   router_.reset();  // restores the shards' stock secure handlers
-  gateways_.clear();
+  attachments_.clear();
+  listeners_.clear();
   transports_.clear();
   started_ = false;
 }

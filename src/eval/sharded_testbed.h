@@ -12,16 +12,18 @@
 // bed behaves exactly like a plain Testbed.
 //
 // ShardedTcpTestbed — the real thing. N complete Testbeds (each with its
-// own virtual phone/gcm world), one ReactorPool thread per shard, one
-// TcpTransport per shard all bound to a single port via SO_REUSEPORT, and
-// a NetGateway pinning each shard's virtual clock to real time. All
-// shards serve one pinned X25519 key, so a client's connection may land
-// on any reactor and still handshake. Use it in three phases:
+// own virtual phone/gcm world), one ReactorPool thread per shard, and one
+// TcpTransport per shard all bound to a single port via SO_REUSEPORT,
+// each serving the secure channel through a net::RpcListener. Each
+// shard's simulation is attached to its reactor, which pins its virtual
+// clock to real time. All shards serve one pinned X25519 key, so a
+// client's connection may land on any reactor and still handshake. Use it
+// in three phases:
 //
 //   1. construct, then provision users *on their owner bed*
 //      (bed(owner_of(user))) while everything is still single-threaded;
-//   2. start() — binds the shared port, installs the router, launches
-//      the reactor threads;
+//   2. start() — binds the shared port, attaches the simulations,
+//      installs the router, launches the reactor threads;
 //   3. drive real TCP clients from your own EventLoop; stop() (or the
 //      destructor) joins everything.
 #pragma once
@@ -35,8 +37,8 @@
 #include "crypto/x25519.h"
 #include "eval/testbed.h"
 #include "net/reactor_pool.h"
+#include "net/rpc.h"
 #include "net/tcp.h"
-#include "server/gateway.h"
 #include "server/shard.h"
 
 namespace amnesia::eval {
@@ -116,7 +118,8 @@ class ShardedTcpTestbed {
   std::unique_ptr<net::ReactorPool> pool_;
   std::vector<std::unique_ptr<Testbed>> beds_;
   std::vector<std::unique_ptr<net::TcpTransport>> transports_;
-  std::vector<std::unique_ptr<server::NetGateway>> gateways_;
+  std::vector<std::unique_ptr<net::RpcListener>> listeners_;
+  std::vector<simnet::Simulation::Attachment> attachments_;
   std::unique_ptr<server::ShardRouter> router_;
   std::uint16_t port_ = 0;
   bool started_ = false;

@@ -288,8 +288,9 @@ std::size_t EventLoop::poll(Micros max_wait_us) {
 }
 
 void EventLoop::run() {
-  stop_.store(false, std::memory_order_relaxed);
-  while (!stop_.load(std::memory_order_relaxed)) {
+  // Consuming the flag on the way out (rather than clearing it on the way
+  // in) keeps a stop() issued just before run() from being lost.
+  while (!stop_.exchange(false, std::memory_order_relaxed)) {
     poll(1'000'000);
   }
 }

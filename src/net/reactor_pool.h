@@ -1,7 +1,7 @@
 // ReactorPool: N EventLoops, each pinned to its own thread.
 //
 // The sharded server runs one reactor per shard; everything a shard owns
-// (acceptor, connections, gateway, server state, storage) lives on that
+// (acceptor, connections, simulation, server state, storage) lives on that
 // shard's loop thread and is only ever touched from it. The pool owns the
 // loops and their threads: start() spins the threads up, stop_join() makes
 // every run() return and joins. Work is handed to a shard with

@@ -233,6 +233,30 @@ void RpcPeer::close() {
   }
 }
 
+// ---- RpcListener -------------------------------------------------------
+
+RpcListener::RpcListener(Transport& transport, RpcPeer::Handler handler)
+    : handler_(std::move(handler)) {
+  transport.listen([this, &transport](StreamPtr stream) {
+    auto peer = RpcPeer::attach(std::move(stream), transport.executor());
+    RpcPeer* raw = peer.get();
+    peer->set_handler(handler_);
+    peer->set_on_close([this, raw] { peers_.erase(raw); });
+    peers_[raw] = std::move(peer);
+  });
+}
+
+RpcListener::~RpcListener() {
+  // Detach close hooks first: RpcPeer::close() would otherwise call back
+  // into peers_ mid-iteration.
+  auto peers = std::move(peers_);
+  peers_.clear();
+  for (auto& [raw, peer] : peers) {
+    peer->set_on_close(nullptr);
+    peer->close();
+  }
+}
+
 // ---- RpcClient ---------------------------------------------------------
 
 RpcClient::RpcClient(Transport& transport, Micros timeout_us)

@@ -41,7 +41,7 @@ using ResponseHandler = std::function<void(Result<Bytes>)>;
 constexpr Micros kDefaultRpcTimeoutUs = 10'000'000;  // 10 s, as simnet::Node
 
 /// One framed RPC endpoint bound to a stream. Symmetric: it can issue
-/// requests and serve them (the gateway uses handler mode; RpcClient uses
+/// requests and serve them (RpcListener uses handler mode; RpcClient uses
 /// request mode). Owners hold the shared_ptr; stream callbacks hold weak
 /// references, so dropping the owner tears the peer down.
 class RpcPeer : public std::enable_shared_from_this<RpcPeer> {
@@ -95,6 +95,24 @@ class RpcPeer : public std::enable_shared_from_this<RpcPeer> {
   std::uint64_t next_corr_ = 1;
   bool closed_ = false;
   Bytes frame_scratch_;  // reused per outbound frame
+};
+
+/// Server convenience: accepts every stream on a Transport and serves it
+/// in handler mode, one RpcPeer per connection answering through
+/// `handler` (the secure-channel port, the replication port).
+class RpcListener {
+ public:
+  /// Starts listening immediately. The transport must outlive the
+  /// listener; destroying the listener closes every open connection.
+  RpcListener(Transport& transport, RpcPeer::Handler handler);
+  ~RpcListener();
+
+  RpcListener(const RpcListener&) = delete;
+  RpcListener& operator=(const RpcListener&) = delete;
+
+ private:
+  RpcPeer::Handler handler_;
+  std::map<RpcPeer*, std::shared_ptr<RpcPeer>> peers_;
 };
 
 /// Per-client retry policy for RpcClient (opt-in; off by default so

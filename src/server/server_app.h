@@ -193,7 +193,7 @@ class AmnesiaServer {
   DbHandler& db() { return db_; }
   const AmnesiaServerStats& stats() const { return stats_; }
   websvc::HttpServer& http() { return http_; }
-  /// The secure-channel terminator — the NetGateway feeds it wire
+  /// The secure-channel terminator — a net::RpcListener feeds it wire
   /// envelopes received over real TCP (SecureServer::handle_wire is
   /// transport-agnostic).
   securechan::SecureServer& secure() { return secure_; }

@@ -186,8 +186,6 @@ void ShardRouter::forward(std::size_t origin, std::size_t target,
     // The request bytes carry X-Amnesia-Trace too; re-establishing the
     // ambient context keeps spans opened outside the HTTP layer parented.
     obs::ScopedTrace scoped(trace);
-    NetGateway* gw = shards_[target].gateway;
-    if (gw) gw->pump();
     shards_[target].server->http().handle_bytes(
         copy, [this, target, origin_exec,
                respond = std::move(respond)](Bytes response) mutable {
@@ -201,7 +199,6 @@ void ShardRouter::forward(std::size_t origin, std::size_t target,
                 respond(std::move(response));
               });
         });
-    if (gw) gw->pump();
   });
 }
 

@@ -53,7 +53,6 @@
 #include "common/bytes.h"
 #include "net/executor.h"
 #include "resilience/fault.h"
-#include "server/gateway.h"
 #include "server/server_app.h"
 #include "websvc/http.h"
 
@@ -83,9 +82,6 @@ struct ShardRef {
   /// Where this shard's work must run: its EventLoop in the multi-reactor
   /// deployment, or the shared Simulation in deterministic tests.
   net::Executor* exec = nullptr;
-  /// Pumped around forwarded work so the shard's virtual clock stays
-  /// pinned to real time; null when `exec` is the simulation itself.
-  NetGateway* gateway = nullptr;
 };
 
 class ShardRouter {
@@ -175,8 +171,6 @@ class ShardRouter {
         continue;
       }
       shards_[k].exec->post([this, k, origin_exec, state, land, collect] {
-        NetGateway* gw = shards_[k].gateway;
-        if (gw) gw->pump();
         collect(k, *shards_[k].server,
                 [this, k, origin_exec, land](T part) {
                   if (resilience::fault_check("shard.mailbox.reply")) {
@@ -187,7 +181,6 @@ class ShardRouter {
                     land(k, std::move(part));
                   });
                 });
-        if (gw) gw->pump();
       });
     }
   }

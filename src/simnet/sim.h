@@ -5,12 +5,20 @@
 // Simulation. Virtual time advances only when events fire, so a full
 // latency experiment (Fig. 3: 2x100 trials) runs in milliseconds of real
 // time and is bit-for-bit reproducible from the seed.
+//
+// Serving real clients (docs/NETWORKING.md), the same simulation keeps
+// real time by itself once attach()ed to a host executor: virtual time is
+// pinned 1:1 to the host clock, and the earliest queued event always has
+// one host timer armed for it. Anything a reactor callback schedules then
+// runs when it is due.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "common/clock.h"
@@ -33,7 +41,12 @@ class Simulation : public net::Executor {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  Micros now() const { return now_; }
+  /// Virtual time. Attached and outside event dispatch, this is the host
+  /// clock mapped into virtual time, so work a reactor callback schedules
+  /// is timed from the real now rather than from the last event.
+  Micros now() const {
+    return host_ && !dispatching_ ? std::max(now_, host_now()) : now_;
+  }
 
   /// Schedules `fn` at absolute virtual time `t` (>= now). Events at equal
   /// times fire in scheduling order.
@@ -59,10 +72,22 @@ class Simulation : public net::Executor {
 
   bool idle() const { return queue_.empty(); }
 
-  /// Virtual time of the earliest queued event; -1 when idle. Lets a
-  /// real-time driver (server::NetGateway) sleep exactly until the next
-  /// simulated event is due instead of polling.
-  Micros next_event_time() const { return idle() ? -1 : queue_.top().time; }
+  struct Detacher {
+    void operator()(Simulation* sim) const { sim->host_.reset(); }
+  };
+  /// Keeps the simulation attached to a host while alive; destroying it
+  /// detaches (the simulation is then driven by hand again). Must not
+  /// outlive the simulation.
+  using Attachment = std::unique_ptr<Simulation, Detacher>;
+
+  /// Pins virtual time 1:1 to `host`'s clock from this moment and lets
+  /// `host` run every event when it is due: each schedule keeps exactly
+  /// one host timer armed for the earliest queued event, whose callback
+  /// runs run_until(mapped now) and re-arms. Only ever fast-forwards to
+  /// the present — a 30 s phone timeout still takes 30 s of wall time.
+  /// The simulation must from then on be touched only from `host`'s
+  /// dispatch thread. A never-attached simulation is pure virtual time.
+  [[nodiscard]] Attachment attach(net::Executor& host);
 
   RandomSource& rng() { return *rng_; }
 
@@ -94,9 +119,24 @@ class Simulation : public net::Executor {
     const Simulation& sim_;
   };
 
+  /// The attached host and the 1:1 map between its clock and ours.
+  struct Host {
+    net::Executor& exec;
+    Micros real_epoch;
+    Micros virtual_epoch;
+    /// Virtual due times of the host timers in flight.
+    std::multiset<Micros> armed;
+  };
+
   bool pop_and_run();
+  Micros host_now() const;
+  /// Arms a host timer for the earliest queued event unless one in
+  /// flight already fires no later than it.
+  void arm_host_timer();
 
   Micros now_ = 0;
+  bool dispatching_ = false;  // inside an event's fn
+  std::shared_ptr<Host> host_;  // timers hold weak refs: detach disarms
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::unique_ptr<RandomSource> rng_;

@@ -81,12 +81,6 @@ class HttpStreamSession
       net::StreamPtr stream, HttpServer& server,
       HttpStreamParser::Limits limits = HttpStreamParser::Limits{});
 
-  /// Invoked after each inbound chunk has been fully processed; the
-  /// sim-backed gateway uses it to drain newly scheduled virtual events.
-  void set_post_input_hook(std::function<void()> hook) {
-    post_input_hook_ = std::move(hook);
-  }
-
   std::uint64_t requests_seen() const { return next_issue_; }
   bool closed() const { return closed_; }
 
@@ -103,7 +97,6 @@ class HttpStreamSession
   net::StreamPtr stream_;
   HttpServer& server_;
   HttpStreamParser parser_;
-  std::function<void()> post_input_hook_;
   std::uint64_t next_issue_ = 0;  // index assigned to the next request
   std::uint64_t next_flush_ = 0;  // next response index to write out
   std::map<std::uint64_t, Bytes> ready_;  // out-of-order completions

@@ -1,12 +1,12 @@
 // Conformance: the full Amnesia six-step flow (login, account creation,
 // bilateral password generation with phone confirmation) runs through
-// the same gateway + RPC framing + secure-channel code over BOTH
+// the same RPC listener + framing + secure-channel code over BOTH
 // transport backends:
 //
-//   - net::TcpTransport on a real loopback socket (epoll event loop,
-//     virtual/real clock bridge active), and
-//   - simnet::SimStreamTransport over simulated datagrams (bridge
-//     disabled; the test pumps virtual time).
+//   - net::TcpTransport on a real loopback socket (epoll event loop; the
+//     simulation is attached to it and keeps real time by itself), and
+//   - simnet::SimStreamTransport over simulated datagrams (simulation not
+//     attached; the test steps virtual time).
 //
 // The protocol bytes above the ByteStream are identical, so both
 // backends must accept the same scenario and — because every RNG is
@@ -14,6 +14,7 @@
 // generate the *same* password.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -23,7 +24,6 @@
 #include "net/event_loop.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "server/gateway.h"
 #include "simnet/stream.h"
 
 namespace amnesia {
@@ -41,6 +41,11 @@ std::unique_ptr<eval::Testbed> provisioned_bed() {
   EXPECT_TRUE(bed->provision(kUser, kMasterPassword).ok());
   EXPECT_TRUE(bed->add_account(kAccountUser, kAccountDomain).ok());
   return bed;
+}
+
+net::RpcPeer::Handler secure_handler(eval::Testbed& bed) {
+  return std::bind_front(&securechan::SecureServer::handle_wire,
+                         &bed.server().secure());
 }
 
 struct FlowResult {
@@ -76,7 +81,8 @@ FlowResult run_over_tcp(std::string* password_out) {
   auto bed = provisioned_bed();
   net::EventLoop loop;
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  net::RpcListener listener(secure_tr, secure_handler(*bed));
+  const auto attachment = bed->sim().attach(loop);
 
   net::TcpTransport dial(loop, "127.0.0.1", secure_tr.local_port());
   net::RpcClient rpc(dial, 30'000'000);
@@ -103,12 +109,12 @@ FlowResult run_over_tcp(std::string* password_out) {
 
 FlowResult run_over_simstream(std::string* password_out) {
   auto bed = provisioned_bed();
-  simnet::SimStreamTransport secure_tr(bed->net(), "gateway");
-  // Same gateway code; its executor IS the simulation, so the clock
-  // bridge disables itself and the test drives virtual time.
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  simnet::SimStreamTransport secure_tr(bed->net(), "server-rpc");
+  // Same listener code; its executor IS the simulation, which stays
+  // unattached: the test drives virtual time.
+  net::RpcListener listener(secure_tr, secure_handler(*bed));
 
-  simnet::SimStreamTransport dial(bed->net(), "wire-client", "gateway");
+  simnet::SimStreamTransport dial(bed->net(), "wire-client", "server-rpc");
   net::RpcClient rpc(dial, 30'000'000);
   crypto::ChaChaDrbg rng(99);
   client::Browser browser(rpc.wire(), bed->server().public_key(), rng,

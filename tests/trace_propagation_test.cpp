@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -22,7 +23,6 @@
 #include "net/tcp.h"
 #include "obs/trace.h"
 #include "resilience/fault.h"
-#include "server/gateway.h"
 #include "simnet/stream.h"
 #include "websvc/http.h"
 #include "websvc/server.h"
@@ -229,6 +229,11 @@ std::unique_ptr<Testbed> provisioned_bed() {
   return bed;
 }
 
+net::RpcPeer::Handler secure_handler(Testbed& bed) {
+  return std::bind_front(&securechan::SecureServer::handle_wire,
+                         &bed.server().secure());
+}
+
 /// Runs login + request_password through a wire-backed browser and
 /// returns the canonical shape of the request's trace tree.
 template <typename Await>
@@ -264,7 +269,8 @@ std::vector<std::string> shape_over_tcp() {
   auto bed = provisioned_bed();
   net::EventLoop loop;
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  net::RpcListener listener(secure_tr, secure_handler(*bed));
+  const auto attachment = bed->sim().attach(loop);
 
   net::TcpTransport dial(loop, "127.0.0.1", secure_tr.local_port());
   net::RpcClient rpc(dial, 30'000'000);
@@ -288,10 +294,10 @@ std::vector<std::string> shape_over_tcp() {
 
 std::vector<std::string> shape_over_simstream() {
   auto bed = provisioned_bed();
-  simnet::SimStreamTransport secure_tr(bed->net(), "gateway");
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  simnet::SimStreamTransport secure_tr(bed->net(), "server-rpc");
+  net::RpcListener listener(secure_tr, secure_handler(*bed));
 
-  simnet::SimStreamTransport dial(bed->net(), "wire-client", "gateway");
+  simnet::SimStreamTransport dial(bed->net(), "wire-client", "server-rpc");
   net::RpcClient rpc(dial, 30'000'000);
   crypto::ChaChaDrbg rng(99);
   client::Browser browser(rpc.wire(), bed->server().public_key(), rng,

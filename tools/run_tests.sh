@@ -62,12 +62,14 @@ run_pass() {
 # cluster on a reactor thread while the main thread drives clients. The
 # profiler suites hammer SIGPROF delivery against concurrent scrapes and
 # the slowlog suites drive the sharded flight recorder, so both join.
+# net_ also covers the simulation attached to an event loop (work posted
+# into the loop from a foreign thread lands in the simulation).
 tsan_filter='net_|securechan_stream|obs_trace|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|obs_profiler_|slowlog_'
 
 # Everything driven by resilience::FaultInjector plus the degraded-mode
 # end-to-end suites; cluster_ brings the mid-round primary-crash drills
-# and storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs.
-# and storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs;
+# (and the lone-round latency check on the real-TCP cluster),
+# storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs;
 # obs_profiler_ includes the signal-safety smoke (profiler armed across
 # the storage torture schedules) and slowlog_ the faulted-leg scrapes.
 fault_filter='resilience_|storage_torture|net_tcp|rendezvous_cloud|obs_test|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|storage_codec_fuzz|obs_profiler_|slowlog_'
